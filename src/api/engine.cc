@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -42,6 +43,28 @@ std::string JoinedDetectorKinds() {
 std::string ModelSection(const std::string& table) { return "model:" + table; }
 std::string ControllerSection(const std::string& table) {
   return "controller:" + table;
+}
+
+// A NaN or infinity in a numeric column poisons every model family's loss:
+// the fitted bootstrap moments turn NaN, after which no batch ever tests as
+// out of distribution. Such rows are refused at the boundary, naming the
+// first offender.
+Status CheckFiniteNumerics(const std::string& table,
+                           const storage::Table& data) {
+  for (int c = 0; c < data.num_columns(); ++c) {
+    const storage::Column& col = data.column(c);
+    if (!col.is_numeric()) continue;
+    const std::vector<double>& values = col.numeric_values();
+    for (size_t r = 0; r < values.size(); ++r) {
+      if (!std::isfinite(values[r])) {
+        return Status::InvalidArgument(
+            "table '" + table + "': column '" + col.name() + "' row " +
+            std::to_string(r) + " holds the non-finite value " +
+            std::to_string(values[r]));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 int ResolveUpdateWorkers(int requested) {
@@ -145,6 +168,7 @@ Status Engine::CreateTable(const std::string& name,
   if (options.micro_batch_rows < 0) {
     return Status::InvalidArgument("micro_batch_rows must be >= 0");
   }
+  DDUP_RETURN_IF_ERROR(CheckFiniteNumerics(name, base_data));
   if (!options.detector.empty() &&
       !core::HasDriftDetectorKind(options.detector)) {
     return Status::InvalidArgument("table '" + name +
@@ -512,6 +536,7 @@ StatusOr<IngestResult> Engine::Ingest(const std::string& name,
   IngestResult result;
   if (batch.num_rows() > 0) {
     DDUP_RETURN_IF_ERROR(storage::CheckSchemaCompatible(state->base, batch));
+    DDUP_RETURN_IF_ERROR(CheckFiniteNumerics(name, batch));
     if (bounded) {
       // Shed decides at call entry, before any row is buffered: a refused
       // call leaves no trace in the accumulator, so the caller can retry

@@ -278,7 +278,8 @@ class Engine {
 
   // Registers an empty-or-populated base table under `name`. The table
   // needs at least one column; its schema becomes the contract every later
-  // batch is validated against.
+  // batch is validated against. A NaN or infinite numeric value is an
+  // InvalidArgument naming the table, column and row.
   Status CreateTable(const std::string& name, const storage::Table& base_data,
                      const TableOptions& options = {});
 
@@ -288,8 +289,9 @@ class Engine {
   // serving snapshot, so the model kind must support the checkpoint hooks.
   Status AttachModel(const std::string& name, const ModelSpec& spec);
 
-  // Buffers `batch` (validated against the table schema; empty is a no-op)
-  // and runs the DDUp loop for every completed micro-batch — inline (sync)
+  // Buffers `batch` (validated against the table schema and for finite
+  // numerics, with nothing buffered on failure; empty is a no-op) and runs
+  // the DDUp loop for every completed micro-batch — inline (sync)
   // or on the table's background update strand (async, non-blocking).
   StatusOr<IngestResult> Ingest(const std::string& name,
                                 const storage::Table& batch);

@@ -6,7 +6,6 @@
 
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "io/checkpoint.h"
 #include "io/serializer.h"
 #include "storage/sampling.h"
@@ -32,6 +31,14 @@ LossReferenceDetector::LossReferenceDetector(DetectorConfig config)
   DDUP_CHECK(config_.threshold_sigmas > 0.0);
 }
 
+ThreadPool& LossReferenceDetector::FitPool() {
+  if (config_.num_threads <= 0) return ThreadPool::Global();
+  if (pool_ == nullptr || pool_->size() != config_.num_threads) {
+    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
+  }
+  return *pool_;
+}
+
 void LossReferenceDetector::Fit(const LossModel& model,
                                 const storage::Table& old_data) {
   DDUP_CHECK(old_data.num_rows() > 0);
@@ -40,27 +47,25 @@ void LossReferenceDetector::Fit(const LossModel& model,
                                    config_.min_sample_rows);
   const int iters = config_.bootstrap_iterations;
   // Every iteration draws from its own child generator, forked sequentially
-  // up front. losses[i] then depends only on iter_rngs[i], and the moment
-  // estimates below combine the vector in index order — so the result is
-  // bit-identical no matter how many threads execute the loop.
+  // up front. Sample i then depends only on iter_rngs[i] (the same draws
+  // storage::BootstrapRows makes), and the moment estimates below combine
+  // the losses in index order — so the result is bit-identical no matter
+  // how many threads draw or score.
   std::vector<Rng> iter_rngs;
   iter_rngs.reserve(static_cast<size_t>(iters));
   for (int i = 0; i < iters; ++i) iter_rngs.push_back(rng_.Fork());
 
-  std::vector<double> losses(static_cast<size_t>(iters), 0.0);
-  auto run_range = [&](int64_t lo, int64_t hi) {
+  ThreadPool& pool = FitPool();
+  std::vector<std::vector<int64_t>> samples(static_cast<size_t>(iters));
+  pool.ParallelFor(0, iters, /*chunk=*/16, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      storage::Table sample = storage::BootstrapRows(
-          old_data, iter_rngs[static_cast<size_t>(i)], sample_rows);
-      losses[static_cast<size_t>(i)] = model.AverageLoss(sample);
+      samples[static_cast<size_t>(i)] =
+          iter_rngs[static_cast<size_t>(i)].SampleWithReplacement(
+              old_data.num_rows(), sample_rows);
     }
-  };
-  if (config_.num_threads > 0) {
-    ThreadPool pool(config_.num_threads);
-    pool.ParallelFor(0, iters, /*chunk=*/1, run_range);
-  } else {
-    ThreadPool::Global().ParallelFor(0, iters, /*chunk=*/1, run_range);
-  }
+  });
+  std::vector<double> losses(static_cast<size_t>(iters), 0.0);
+  model.BootstrapLosses(old_data, samples, pool, losses.data());
 
   bootstrap_mean_ = Mean(losses);
   // Unbiased (n-1) estimator: bootstrap_iterations can legitimately be as

@@ -2,9 +2,11 @@
 #define DDUP_CORE_DETECTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/interfaces.h"
 #include "storage/table.h"
 
@@ -35,9 +37,10 @@ struct DetectorConfig {
   bool two_sided = true;
   uint64_t seed = 29;
   // Threads for the bootstrap loop in Fit: 0 shares the process-wide
-  // ThreadPool::Global(); > 0 runs on a dedicated pool of that size. The
-  // fitted moments are bit-identical for every setting — each iteration owns
-  // a pre-forked child Rng and results combine in iteration order.
+  // ThreadPool::Global(); > 0 runs on a dedicated pool of that size, built
+  // at the first Fit and kept for the detector's life. The fitted moments
+  // are bit-identical for every setting — each iteration owns a pre-forked
+  // child Rng and results combine in iteration order.
   int num_threads = 0;
   // CUSUM (detector_zoo): per-batch z-scores accumulate into one-sided sums
   // S+/S- with drift allowance k (in sigmas); an alarm fires when a sum
@@ -106,6 +109,8 @@ class LossReferenceDetector : public DriftDetector {
 
   // Offline phase. Must be re-run whenever the model or the reference data
   // changes (the controller does this after every accepted insertion).
+  // Draws every iteration's row indices from its forked Rng, then scores all
+  // samples in one LossModel::BootstrapLosses call.
   void Fit(const LossModel& model, const storage::Table& old_data) override;
   bool fitted() const override { return fitted_; }
 
@@ -135,6 +140,14 @@ class LossReferenceDetector : public DriftDetector {
   double bootstrap_std_ = 0.0;
   bool fitted_ = false;
   Rng rng_;
+
+ private:
+  // The pool Fit runs on: ThreadPool::Global() for num_threads == 0, else
+  // the dedicated pool, (re)built only when its size differs from the
+  // config (LoadState may change num_threads).
+  ThreadPool& FitPool();
+
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 // The DDUp OOD detector. Offline (Fit): bootstrap samples of the old data

@@ -1,6 +1,20 @@
 #include "core/interfaces.h"
 
+#include "common/thread_pool.h"
+
 namespace ddup::core {
+
+void LossModel::BootstrapLosses(
+    const storage::Table& data,
+    const std::vector<std::vector<int64_t>>& samples, ThreadPool& pool,
+    double* out) const {
+  const auto n = static_cast<int64_t>(samples.size());
+  pool.ParallelFor(0, n, /*chunk=*/1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      out[i] = AverageLoss(data.TakeRows(samples[static_cast<size_t>(i)]));
+    }
+  });
+}
 
 Status LossModel::SaveState(io::Serializer* out) const {
   (void)out;

@@ -1,6 +1,7 @@
 #ifndef DDUP_CORE_INTERFACES_H_
 #define DDUP_CORE_INTERFACES_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,10 @@
 #include "common/status.h"
 #include "storage/table.h"
 #include "workload/query.h"
+
+namespace ddup {
+class ThreadPool;
+}  // namespace ddup
 
 namespace ddup::io {
 class Serializer;
@@ -26,6 +31,16 @@ class LossModel {
 
   // Average per-row training loss over `sample` (no gradient computation).
   virtual double AverageLoss(const storage::Table& sample) const = 0;
+
+  // The detector's offline phase in one call: for every i,
+  //   out[i] == AverageLoss(data.TakeRows(samples[i]))   bit for bit.
+  // `pool` may run the work; the values never depend on its size. The
+  // default is exactly that loop, one sample per pool chunk. The model
+  // families override it to score each distinct row of `data` once and then
+  // replay AverageLoss's own reductions per sample (DESIGN.md §3).
+  virtual void BootstrapLosses(const storage::Table& data,
+                               const std::vector<std::vector<int64_t>>& samples,
+                               ThreadPool& pool, double* out) const;
 
   virtual std::string name() const = 0;
 

@@ -8,6 +8,7 @@
 #include "common/thread_pool.h"
 #include "io/checkpoint.h"
 #include "io/serializer.h"
+#include "models/bootstrap_scoring.h"
 #include "nn/kernels.h"
 #include "nn/optim.h"
 #include "nn/ops.h"
@@ -133,39 +134,57 @@ std::vector<std::vector<int>> Darn::GatherCodes(
   return out;
 }
 
+std::vector<nn::Variable> Darn::MaskWeights(
+    const std::vector<nn::Variable>& p) const {
+  using nn::Constant;
+  using nn::Mul;
+  return {Mul(p[0], Constant(mask1_)), p[1], Mul(p[2], Constant(mask2_)),
+          p[3], Mul(p[4], Constant(mask3_)), p[5]};
+}
+
 nn::Variable Darn::ForwardLogits(
-    const std::vector<nn::Variable>& p,
+    const std::vector<nn::Variable>& mp,
     const std::vector<std::vector<int>>& codes) const {
   using namespace nn;  // NOLINT: op-heavy function
   DDUP_CHECK(static_cast<int>(codes.size()) == num_columns_);
   // Layer 1 via embedding gathers: the one-hot input selects exactly one row
   // of the masked weight per column, so h = sum_cols row(offset+code) + b.
-  Variable masked_w1 = Mul(p[0], Constant(mask1_));
   Variable h;
   for (int col = 0; col < num_columns_; ++col) {
     std::vector<int> idx(codes[static_cast<size_t>(col)].size());
     for (size_t r = 0; r < idx.size(); ++r) {
       idx[r] = encoder_.offset(col) + codes[static_cast<size_t>(col)][r];
     }
-    Variable g = Rows(masked_w1, idx);
+    Variable g = Rows(mp[0], idx);
     h = (col == 0) ? g : Add(h, g);
   }
-  h = Relu(Add(h, p[1]));
-  // Fused affine kernels over the masked weights; the Mul node routes the
-  // accumulated weight gradient through the mask.
-  Variable h2 = AffineRelu(h, Mul(p[2], Constant(mask2_)), p[3]);
-  return Affine(h2, Mul(p[4], Constant(mask3_)), p[5]);
+  h = Relu(Add(h, mp[1]));
+  // Fused affine kernels over the masked weights.
+  Variable h2 = AffineRelu(h, mp[2], mp[3]);
+  return Affine(h2, mp[4], mp[5]);
+}
+
+std::vector<nn::Variable> Darn::ColumnLogProbs(
+    const std::vector<nn::Variable>& masked,
+    const std::vector<std::vector<int>>& codes) const {
+  nn::Variable logits = ForwardLogits(masked, codes);
+  std::vector<nn::Variable> logp;
+  logp.reserve(static_cast<size_t>(num_columns_));
+  for (int col = 0; col < num_columns_; ++col) {
+    nn::Variable block = nn::SliceCols(logits, encoder_.offset(col),
+                                       encoder_.cardinality(col));
+    logp.push_back(nn::TargetLogProbs(block, codes[static_cast<size_t>(col)]));
+  }
+  return logp;
 }
 
 nn::Variable Darn::NllLoss(const std::vector<nn::Variable>& p,
                            const std::vector<std::vector<int>>& codes) const {
   using namespace nn;  // NOLINT
-  Variable logits = ForwardLogits(p, codes);
+  std::vector<Variable> logp = ColumnLogProbs(MaskWeights(p), codes);
   Variable total;
   for (int col = 0; col < num_columns_; ++col) {
-    Variable block =
-        SliceCols(logits, encoder_.offset(col), encoder_.cardinality(col));
-    Variable ce = SoftmaxCrossEntropy(block, codes[static_cast<size_t>(col)]);
+    Variable ce = Neg(Mean(logp[static_cast<size_t>(col)]));
     total = (col == 0) ? ce : Add(total, ce);
   }
   return total;  // mean-per-row joint NLL
@@ -219,8 +238,8 @@ void Darn::DistillUpdate(const storage::Table& transfer_set,
       auto tr = GatherCodes(tr_codes_all, tr_batches[s % tr_batches.size()]);
       auto up = GatherCodes(up_codes_all, up_batches[s % up_batches.size()]);
 
-      Variable s_logits = ForwardLogits(params_, tr);
-      Variable t_logits = ForwardLogits(teacher, tr);
+      Variable s_logits = ForwardLogits(MaskWeights(params_), tr);
+      Variable t_logits = ForwardLogits(MaskWeights(teacher), tr);
       // Eq. 10: annealed CE between teacher and student conditionals,
       // averaged over attributes.
       Variable distill;
@@ -269,6 +288,37 @@ double Darn::AverageLoss(const storage::Table& sample) const {
         std::iota(rows.begin(), rows.end(), lo);
         return NllLoss(frozen, GatherCodes(codes, rows)).value().At(0, 0);
       });
+}
+
+void Darn::BootstrapLosses(const storage::Table& data,
+                           const std::vector<std::vector<int64_t>>& samples,
+                           ThreadPool& pool, double* out) const {
+  BootstrapPlan plan(samples, data.num_rows(), /*split_tail=*/true);
+  auto codes = encoder_.EncodeTable(data);
+  const std::vector<nn::Variable> masked =
+      MaskWeights(nn::AsConstants(params_));
+  const int cols = num_columns_;
+  auto score = [&](const std::vector<int64_t>& rows, double* terms) {
+    std::vector<nn::Variable> per_col =
+        ColumnLogProbs(masked, GatherCodes(codes, rows));
+    for (int c = 0; c < cols; ++c) {
+      const nn::Matrix& v = per_col[static_cast<size_t>(c)].value();
+      for (int r = 0; r < v.rows(); ++r) {
+        terms[static_cast<size_t>(r) * cols + c] = v(r, 0);
+      }
+    }
+  };
+  std::vector<double> logp = ScoreEntries(plan, cols, pool, score);
+  // NllLoss per chunk: the Add chain of Neg(Mean(column log-probs)).
+  auto chunk_loss = [&](const int64_t* chunk, int64_t n) {
+    double total = 0.0;
+    for (int c = 0; c < cols; ++c) {
+      const double ce = -1.0 * ReplayMean(logp, cols, chunk, n, c);
+      total = (c == 0) ? ce : total + ce;
+    }
+    return total;
+  };
+  ChunkedSampleLosses(plan, pool, chunk_loss, out);
 }
 
 Darn::FrozenNet Darn::Freeze() const {

@@ -38,6 +38,12 @@ class Darn : public core::UpdatableModel, public core::CardinalityEstimator {
 
   // core::UpdatableModel:
   double AverageLoss(const storage::Table& sample) const override;
+  // Scores each distinct drawn row once per GEMM position (4-row panel or
+  // row tail) and replays AverageLoss's reductions per sample (DESIGN.md
+  // §3).
+  void BootstrapLosses(const storage::Table& data,
+                       const std::vector<std::vector<int64_t>>& samples,
+                       ThreadPool& pool, double* out) const override;
   std::string name() const override { return "darn"; }
   void FineTune(const storage::Table& new_data, double learning_rate,
                 int epochs) override;
@@ -103,10 +109,19 @@ class Darn : public core::UpdatableModel, public core::CardinalityEstimator {
 
   void InitParams();
   void BuildMasks(int num_columns);
+  // The parameters with the MADE masks applied (W1, W2, W3 masked by Mul
+  // nodes, so weight gradients route through the masks; biases as given).
+  std::vector<nn::Variable> MaskWeights(
+      const std::vector<nn::Variable>& params) const;
   // Autograd forward: logits over all output blocks for the batch encoded as
-  // per-column code vectors.
-  nn::Variable ForwardLogits(const std::vector<nn::Variable>& params,
+  // per-column code vectors, from MaskWeights(params).
+  nn::Variable ForwardLogits(const std::vector<nn::Variable>& masked,
                              const std::vector<std::vector<int>>& codes) const;
+  // Per column, each row's log P(code | prefix) (N x 1 each), from
+  // MaskWeights(params).
+  std::vector<nn::Variable> ColumnLogProbs(
+      const std::vector<nn::Variable>& masked,
+      const std::vector<std::vector<int>>& codes) const;
   // Joint NLL (mean per row) for the batch.
   nn::Variable NllLoss(const std::vector<nn::Variable>& params,
                        const std::vector<std::vector<int>>& codes) const;

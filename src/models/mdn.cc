@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "io/checkpoint.h"
 #include "io/serializer.h"
+#include "models/bootstrap_scoring.h"
 #include "nn/ops.h"
 
 namespace ddup::models {
@@ -44,9 +45,8 @@ MdnOutputs ForwardNet(const std::vector<nn::Variable>& p,
   return out;
 }
 
-// -log p(y|x) per the Gaussian mixture, averaged over the batch.
-nn::Variable MixtureNllFromOutputs(const MdnOutputs& out,
-                                   const nn::Matrix& y_norm) {
+// log p(y|x) per the Gaussian mixture, one row per example (N x 1).
+nn::Variable MixtureLogLik(const MdnOutputs& out, const nn::Matrix& y_norm) {
   using namespace nn;  // NOLINT
   int m = out.mu.cols();
   Variable y = BroadcastCol(Constant(y_norm), m);
@@ -56,8 +56,13 @@ nn::Variable MixtureNllFromOutputs(const MdnOutputs& out,
   Variable log_normal = Sub(Scale(Square(z), -0.5),
                             AddScalar(Log(out.sigma), kHalfLog2Pi));
   Variable log_w = LogSoftmax(out.omega_logits);
-  Variable loglik = LogSumExp(Add(log_w, log_normal));  // N x 1
-  return Neg(Mean(loglik));
+  return LogSumExp(Add(log_w, log_normal));
+}
+
+// -log p(y|x) per the Gaussian mixture, averaged over the batch.
+nn::Variable MixtureNllFromOutputs(const MdnOutputs& out,
+                                   const nn::Matrix& y_norm) {
+  return nn::Neg(nn::Mean(MixtureLogLik(out, y_norm)));
 }
 
 }  // namespace
@@ -210,6 +215,67 @@ double Mdn::AverageLoss(const storage::Table& sample) const {
         Batch b = MakeBatch(sample, rows);
         return NllLoss(frozen, b).value().At(0, 0);
       });
+}
+
+void Mdn::BootstrapLosses(const storage::Table& data,
+                          const std::vector<std::vector<int64_t>>& samples,
+                          ThreadPool& pool, double* out) const {
+  using namespace nn;  // NOLINT: op-heavy function
+  BootstrapPlan plan(samples, data.num_rows(), /*split_tail=*/true);
+  const storage::Column& cat = data.column(cat_index_);
+  const storage::Column& num = data.column(num_index_);
+  std::vector<Variable> frozen = AsConstants(params_);
+
+  // The network reads only the category, so it runs once per category and
+  // GEMM position. Output tables: rows [0, K) from one padded panel call
+  // over every category, rows [K, 2K) from a single-row (row-tail) call per
+  // category.
+  const int k = cardinality_;
+  const int mix = config_.num_components;
+  std::vector<Matrix> tables(3, Matrix(2 * k, mix));
+  auto copy_heads = [&](const MdnOutputs& o, int rows, int first_row) {
+    const Matrix* heads[] = {&o.omega_logits.value(), &o.mu.value(),
+                             &o.sigma.value()};
+    for (size_t t = 0; t < tables.size(); ++t) {
+      std::copy(heads[t]->data(), heads[t]->data() + rows * mix,
+                tables[t].data() + static_cast<size_t>(first_row) * mix);
+    }
+  };
+  std::vector<int> panel_codes(static_cast<size_t>((k + 3) & ~3), 0);
+  std::iota(panel_codes.begin(), panel_codes.begin() + k, 0);
+  copy_heads(ForwardNet(frozen, panel_codes), k, 0);
+  for (int c = 0; c < k; ++c) copy_heads(ForwardNet(frozen, {c}), 1, k + c);
+  std::vector<Variable> table_vars;
+  for (Matrix& t : tables) table_vars.push_back(Constant(std::move(t)));
+
+  // The mixture likelihood is row-wise elementwise work: gather each
+  // entry's outputs and score all entries in plain blocks.
+  const int64_t entries = plan.num_entries();
+  std::vector<double> loglik(static_cast<size_t>(entries));
+  constexpr int64_t kBlockRows = 512;
+  pool.ParallelFor(0, entries, kBlockRows, [&](int64_t lo, int64_t hi) {
+    std::vector<int> idx;
+    Matrix y(static_cast<int>(hi - lo), 1);
+    for (int64_t e = lo; e < hi; ++e) {
+      const int64_t row = plan.rows()[static_cast<size_t>(e)];
+      idx.push_back((e < plan.num_panel() ? 0 : k) + cat.CodeAt(row));
+      y.At(static_cast<int>(e - lo), 0) =
+          normalizer_.Encode(num.NumericAt(row));
+    }
+    MdnOutputs gathered;
+    gathered.omega_logits = Rows(table_vars[0], idx);
+    gathered.mu = Rows(table_vars[1], idx);
+    gathered.sigma = Rows(table_vars[2], idx);
+    Variable ll = MixtureLogLik(gathered, y);
+    std::copy(ll.value().data(), ll.value().data() + (hi - lo),
+              loglik.begin() + lo);
+  });
+
+  // Neg(Mean(loglik)) per chunk.
+  auto chunk_loss = [&](const int64_t* chunk, int64_t n) {
+    return -1.0 * ReplayMean(loglik, 1, chunk, n, 0);
+  };
+  ChunkedSampleLosses(plan, pool, chunk_loss, out);
 }
 
 double Mdn::AverageLogLikelihood(const storage::Table& sample) const {

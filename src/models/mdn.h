@@ -47,6 +47,12 @@ class Mdn : public core::UpdatableModel, public core::AqpEstimator {
 
   // core::UpdatableModel:
   double AverageLoss(const storage::Table& sample) const override;
+  // Runs the network once per category (the only input it reads) in each
+  // GEMM position, scores each distinct drawn row's mixture likelihood
+  // once, then replays AverageLoss's reductions per sample (DESIGN.md §3).
+  void BootstrapLosses(const storage::Table& data,
+                       const std::vector<std::vector<int64_t>>& samples,
+                       ThreadPool& pool, double* out) const override;
   std::string name() const override { return "mdn"; }
   void FineTune(const storage::Table& new_data, double learning_rate,
                 int epochs) override;

@@ -8,6 +8,7 @@
 #include "common/thread_pool.h"
 #include "io/checkpoint.h"
 #include "io/serializer.h"
+#include "models/bootstrap_scoring.h"
 #include "nn/optim.h"
 #include "nn/ops.h"
 
@@ -115,13 +116,12 @@ Tvae::VaeGraph Tvae::ForwardGraph(const std::vector<nn::Variable>& p,
   return g;
 }
 
-nn::Variable Tvae::ElboLoss(const std::vector<nn::Variable>& p,
-                            const VaeGraph& g,
-                            const EncodedBatch& batch) const {
+Tvae::ElboTerms Tvae::ElboRowTerms(const std::vector<nn::Variable>& p,
+                                   const VaeGraph& g,
+                                   const EncodedBatch& batch) const {
   using namespace nn;  // NOLINT
   int n = batch.x.rows();
-  Variable recon;
-  bool have_recon = false;
+  ElboTerms terms;
 
   // Numeric columns: Gaussian NLL with learned per-column log sigma.
   int num_numeric = 0;
@@ -144,25 +144,42 @@ nn::Variable Tvae::ElboLoss(const std::vector<nn::Variable>& p,
     Variable z = Mul(diff, inv_sigma);
     Variable per_entry =
         Add(Scale(Square(z), 0.5), AddScalar(log_sigma, kHalfLog2Pi));
-    recon = Mean(RowSum(per_entry));
-    have_recon = true;
+    terms.numeric = RowSum(per_entry);
   }
 
-  // Categorical columns: softmax cross-entropy per column.
+  // Categorical columns: softmax log-likelihood per column.
   for (size_t cat_i = 0; cat_i < categorical_columns_.size(); ++cat_i) {
     const ColumnCoding& cc =
         coding_[static_cast<size_t>(categorical_columns_[cat_i])];
     Variable block = SliceCols(g.out, cc.offset, cc.cardinality);
-    Variable ce = SoftmaxCrossEntropy(block, batch.codes[cat_i]);
-    recon = have_recon ? Add(recon, ce) : ce;
-    have_recon = true;
+    terms.categorical.push_back(TargetLogProbs(block, batch.codes[cat_i]));
   }
-  DDUP_CHECK(have_recon);
 
   // KL(q(z|x) || N(0, I)) = -0.5 * sum(1 + logvar - mu^2 - exp(logvar)).
   Variable kl_terms = Sub(AddScalar(g.logvar, 1.0),
                           Add(Square(g.mu), Exp(g.logvar)));
-  Variable kl = Scale(Mean(RowSum(kl_terms)), -0.5);
+  terms.kl = RowSum(kl_terms);
+  return terms;
+}
+
+nn::Variable Tvae::ElboLoss(const std::vector<nn::Variable>& p,
+                            const VaeGraph& g,
+                            const EncodedBatch& batch) const {
+  using namespace nn;  // NOLINT
+  ElboTerms terms = ElboRowTerms(p, g, batch);
+  Variable recon;
+  bool have_recon = false;
+  if (terms.numeric.defined()) {
+    recon = Mean(terms.numeric);
+    have_recon = true;
+  }
+  for (const Variable& logp : terms.categorical) {
+    Variable ce = Neg(Mean(logp));
+    recon = have_recon ? Add(recon, ce) : ce;
+    have_recon = true;
+  }
+  DDUP_CHECK(have_recon);
+  Variable kl = Scale(Mean(terms.kl), -0.5);
   return Add(recon, kl);
 }
 
@@ -254,6 +271,54 @@ double Tvae::AverageLoss(const storage::Table& sample) const {
         VaeGraph g = ForwardGraph(frozen, batch.x, eps0);
         return ElboLoss(frozen, g, batch).value().At(0, 0);
       });
+}
+
+void Tvae::BootstrapLosses(const storage::Table& data,
+                           const std::vector<std::vector<int64_t>>& samples,
+                           ThreadPool& pool, double* out) const {
+  BootstrapPlan plan(samples, data.num_rows(), /*split_tail=*/true);
+  std::vector<nn::Variable> frozen = nn::AsConstants(params_);
+  bool has_numeric = false;
+  for (const auto& cc : coding_) has_numeric = has_numeric || cc.is_numeric;
+  // Term layout per entry: [numeric NLL row sum], one log-probability per
+  // categorical column, the KL row sum.
+  const int num_terms = (has_numeric ? 1 : 0) +
+                        static_cast<int>(categorical_columns_.size()) + 1;
+  auto score = [&](const std::vector<int64_t>& rows, double* row_terms) {
+    EncodedBatch batch = Encode(data, rows);
+    nn::Matrix eps0(batch.x.rows(), config_.latent_dim, 0.0);
+    VaeGraph g = ForwardGraph(frozen, batch.x, eps0);
+    ElboTerms t = ElboRowTerms(frozen, g, batch);
+    std::vector<const nn::Matrix*> cols;
+    if (has_numeric) cols.push_back(&t.numeric.value());
+    for (const auto& v : t.categorical) cols.push_back(&v.value());
+    cols.push_back(&t.kl.value());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      for (int r = 0; r < cols[c]->rows(); ++r) {
+        row_terms[static_cast<size_t>(r) * num_terms + c] = (*cols[c])(r, 0);
+      }
+    }
+  };
+  std::vector<double> terms = ScoreEntries(plan, num_terms, pool, score);
+  // ElboLoss per chunk: Mean(numeric), the Add chain of the categorical
+  // Neg(Mean(.)), then + Scale(Mean(kl), -0.5).
+  auto chunk_loss = [&](const int64_t* chunk, int64_t n) {
+    int t = 0;
+    double recon = 0.0;
+    bool have_recon = false;
+    if (has_numeric) {
+      recon = ReplayMean(terms, num_terms, chunk, n, t++);
+      have_recon = true;
+    }
+    for (size_t c = 0; c < categorical_columns_.size(); ++c) {
+      const double ce = -1.0 * ReplayMean(terms, num_terms, chunk, n, t++);
+      recon = have_recon ? recon + ce : ce;
+      have_recon = true;
+    }
+    const double kl = Stored(-0.5 * ReplayMean(terms, num_terms, chunk, n, t));
+    return recon + kl;
+  };
+  ChunkedSampleLosses(plan, pool, chunk_loss, out);
 }
 
 Status Tvae::SaveState(io::Serializer* out) const {

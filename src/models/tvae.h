@@ -35,6 +35,11 @@ class Tvae : public core::UpdatableModel {
 
   // core::UpdatableModel:
   double AverageLoss(const storage::Table& sample) const override;  // ELBO
+  // Scores each distinct drawn row once per GEMM position (4-row panel or
+  // row tail) and replays the ELBO's reductions per sample (DESIGN.md §3).
+  void BootstrapLosses(const storage::Table& data,
+                       const std::vector<std::vector<int64_t>>& samples,
+                       ThreadPool& pool, double* out) const override;
   std::string name() const override { return "tvae"; }
   void FineTune(const storage::Table& new_data, double learning_rate,
                 int epochs) override;
@@ -89,11 +94,20 @@ class Tvae : public core::UpdatableModel {
     nn::Variable out;         // decoder flat output
   };
 
+  // The ELBO's per-row terms, each N x 1, before the batch means.
+  struct ElboTerms {
+    nn::Variable numeric;  // numeric Gaussian NLL row sums; undefined if none
+    std::vector<nn::Variable> categorical;  // log P(code), per column
+    nn::Variable kl;  // row sums of 1 + logvar - mu^2 - exp(logvar)
+  };
+
   void InitParams();
   EncodedBatch Encode(const storage::Table& data,
                       const std::vector<int64_t>& rows) const;
   VaeGraph ForwardGraph(const std::vector<nn::Variable>& params,
                         const nn::Matrix& x, const nn::Matrix& eps) const;
+  ElboTerms ElboRowTerms(const std::vector<nn::Variable>& params,
+                         const VaeGraph& g, const EncodedBatch& batch) const;
   nn::Variable ElboLoss(const std::vector<nn::Variable>& params,
                         const VaeGraph& g, const EncodedBatch& batch) const;
   void TrainLoop(const storage::Table& data, double lr, int epochs);

@@ -1,8 +1,10 @@
 #ifndef DDUP_MODELS_UPDATABLE_ADAPTERS_H_
 #define DDUP_MODELS_UPDATABLE_ADAPTERS_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/interfaces.h"
 #include "models/gbdt.h"
@@ -29,6 +31,11 @@ class SpnModel : public core::UpdatableModel, public core::CardinalityEstimator 
 
   // core::UpdatableModel:
   double AverageLoss(const storage::Table& sample) const override;
+  // Scores each distinct drawn row once, then sums each sample's row NLLs
+  // in draw order exactly as AverageLoss does.
+  void BootstrapLosses(const storage::Table& data,
+                       const std::vector<std::vector<int64_t>>& samples,
+                       ThreadPool& pool, double* out) const override;
   std::string name() const override { return "spn"; }
   // Incremental insert of `new_data` (learning_rate/epochs are meaningless
   // for histogram routing and are ignored).
@@ -62,6 +69,9 @@ class SpnModel : public core::UpdatableModel, public core::CardinalityEstimator 
  private:
   SpnModel() = default;  // shell for Restore
 
+  // -log P(row's discretized cell): the per-row term of AverageLoss.
+  double RowNll(const storage::Table& data, int64_t row) const;
+
   std::unique_ptr<Spn> spn_;
 };
 
@@ -80,6 +90,10 @@ class GbdtModel : public core::UpdatableModel {
 
   // core::UpdatableModel:
   double AverageLoss(const storage::Table& sample) const override;
+  // Predicts each distinct drawn row once, then counts each sample's hits.
+  void BootstrapLosses(const storage::Table& data,
+                       const std::vector<std::vector<int64_t>>& samples,
+                       ThreadPool& pool, double* out) const override;
   std::string name() const override { return "gbdt"; }
   void FineTune(const storage::Table& new_data, double learning_rate,
                 int epochs) override;

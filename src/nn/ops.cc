@@ -566,11 +566,14 @@ Variable PickCols(const Variable& a, const std::vector<int>& idx) {
 
 Variable Detach(const Variable& a) { return Constant(a.value()); }
 
+Variable TargetLogProbs(const Variable& logits,
+                        const std::vector<int>& targets) {
+  return PickCols(LogSoftmax(logits), targets);
+}
+
 Variable SoftmaxCrossEntropy(const Variable& logits,
                              const std::vector<int>& targets) {
-  Variable logp = LogSoftmax(logits);
-  Variable picked = PickCols(logp, targets);
-  return Neg(Mean(picked));
+  return Neg(Mean(TargetLogProbs(logits, targets)));
 }
 
 Variable MseLoss(const Variable& a, const Variable& b) {

@@ -75,6 +75,10 @@ Variable PickCols(const Variable& a, const std::vector<int>& idx);
 Variable Detach(const Variable& a);
 
 // Convenience losses built from the ops above.
+// Per-row log softmax(logits)[r, targets[r]] -> Nx1: the terms
+// SoftmaxCrossEntropy averages.
+Variable TargetLogProbs(const Variable& logits,
+                        const std::vector<int>& targets);
 // Mean over rows of -log softmax(logits)[target]: standard CE with integer
 // targets.
 Variable SoftmaxCrossEntropy(const Variable& logits,

@@ -1,8 +1,14 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "api/model_factory.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "core/detector.h"
 #include "core/detector_zoo.h"
 #include "datagen/datasets.h"
@@ -303,6 +309,112 @@ TEST(DetectorTest, HandlesTinyBatches) {
   auto res = det.Test(model, one);
   EXPECT_GE(res.statistic, 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Deduplicated bootstrap: every model family's LossModel::BootstrapLosses
+// override against the base-class loop (AverageLoss per sample).
+// ---------------------------------------------------------------------------
+
+// Small configs, trained hard enough (high learning rate) that the biases
+// are far from their zero init: with a zero bias the GEMM's register panel
+// and its row tail round identically, and a tail draw scored in the wrong
+// position would go unseen.
+std::unique_ptr<UpdatableModel> SmallModel(const std::string& kind,
+                                           const storage::Table& base) {
+  api::ModelOptions options;
+  if (kind == "mdn") {
+    options = {{"hidden_width", "16"},
+               {"num_components", "4"},
+               {"epochs", "4"},
+               {"learning_rate", "0.05"}};
+  } else if (kind == "darn") {
+    options = {{"hidden_width", "16"},
+               {"max_bins", "8"},
+               {"epochs", "6"},
+               {"learning_rate", "0.05"}};
+  } else if (kind == "tvae") {
+    options = {{"hidden_width", "16"},
+               {"latent_dim", "4"},
+               {"epochs", "4"},
+               {"learning_rate", "0.05"}};
+  } else if (kind == "gbdt") {
+    options = {{"num_rounds", "5"}};
+  }
+  auto model = api::ModelFactory::Global().Create(kind, base, options);
+  DDUP_CHECK_MSG(model.ok(), model.status().ToString());
+  return std::move(model).value();
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+class BootstrapLossesTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BootstrapLossesTest, OverrideMatchesBaseLoopBitForBit) {
+  storage::Table base = datagen::MakeDataset("census", 640, 7);
+  std::unique_ptr<UpdatableModel> model = SmallModel(GetParam(), base);
+  ThreadPool pool(3);
+  // Sample sizes with every m % 4 (the NN families' row-tail positions),
+  // small enough that one row's last bit can reach the loss, plus one above
+  // kLossChunkRows so the chunked combine is replayed too.
+  for (int64_t m : {int64_t{3}, int64_t{4}, int64_t{5}, int64_t{6},
+                    int64_t{35}, kLossChunkRows + 5}) {
+    Rng rng(static_cast<uint64_t>(m));
+    std::vector<std::vector<int64_t>> samples;
+    for (int i = 0; i < 24; ++i) {
+      samples.push_back(rng.SampleWithReplacement(base.num_rows(), m));
+    }
+    std::vector<double> dedup(samples.size()), loop(samples.size());
+    model->BootstrapLosses(base, samples, pool, dedup.data());
+    model->LossModel::BootstrapLosses(base, samples, pool, loop.data());
+    EXPECT_TRUE(SameBits(dedup, loop)) << GetParam() << " m=" << m;
+    EXPECT_DOUBLE_EQ(loop[0], model->AverageLoss(base.TakeRows(samples[0])));
+  }
+}
+
+TEST_P(BootstrapLossesTest, FittedMomentsMatchBaseLoopAtAnyThreadCount) {
+  storage::Table base = datagen::MakeDataset("census", 640, 8);
+  std::unique_ptr<UpdatableModel> model = SmallModel(GetParam(), base);
+  DetectorConfig one;
+  one.seed = 19;
+  one.bootstrap_iterations = 24;
+  one.min_sample_rows = 35;  // 35 % 4 == 3: three row-tail positions
+  one.num_threads = 1;
+  DetectorConfig many = one;
+  many.num_threads = 4;
+  OodDetector det1(one), detN(many);
+  det1.Fit(*model, base);
+  detN.Fit(*model, base);
+  EXPECT_DOUBLE_EQ(det1.bootstrap_mean(), detN.bootstrap_mean());
+  EXPECT_DOUBLE_EQ(det1.bootstrap_std(), detN.bootstrap_std());
+
+  // The documented construction through the base-class loop.
+  Rng rng(19);
+  std::vector<std::vector<int64_t>> samples;
+  for (int i = 0; i < 24; ++i) {
+    Rng child = rng.Fork();
+    samples.push_back(child.SampleWithReplacement(base.num_rows(), 35));
+  }
+  std::vector<double> losses(samples.size());
+  ThreadPool pool(1);
+  model->LossModel::BootstrapLosses(base, samples, pool, losses.data());
+  EXPECT_DOUBLE_EQ(det1.bootstrap_mean(), Mean(losses));
+  EXPECT_DOUBLE_EQ(det1.bootstrap_std(), SampleStdDev(losses));
+
+  // A second refresh runs on the kept dedicated pool; both detectors'
+  // streams advanced alike, so the moments still agree.
+  det1.Fit(*model, base);
+  detN.Fit(*model, base);
+  EXPECT_DOUBLE_EQ(det1.bootstrap_mean(), detN.bootstrap_mean());
+  EXPECT_DOUBLE_EQ(det1.bootstrap_std(), detN.bootstrap_std());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, BootstrapLossesTest,
+                         ::testing::Values("mdn", "darn", "tvae", "spn",
+                                           "gbdt"),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------
 // Detector zoo (core/detector_zoo.h): factory, sequential detectors, the

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -218,6 +220,40 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   EXPECT_EQ(sweep.value().tables_skipped, 2);
   EXPECT_EQ(sweep.value().rows_flushed, 0);
   EXPECT_EQ(sweep.value().updates_triggered, 0);
+}
+
+TEST(EngineTest, RejectsNonFiniteNumericsAtTheBoundary) {
+  // One NaN would turn the fitted bootstrap moments into NaN, after which
+  // no batch ever tests as OOD: it must be refused before it is buffered.
+  Engine engine(FastEngineConfig(64));
+  storage::Table poisoned_base = MakeConditional(20.0, 60.0, 200, 1);
+  (*poisoned_base.mutable_column(1)->mutable_numeric_values())[7] =
+      std::numeric_limits<double>::infinity();
+  Status created = engine.CreateTable("bad", poisoned_base);
+  EXPECT_EQ(created.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(created.message().find("'bad'"), std::string::npos);
+  EXPECT_NE(created.message().find("'y' row 7"), std::string::npos);
+  EXPECT_TRUE(
+      engine.CreateTable("bad", MakeConditional(20.0, 60.0, 200, 1)).ok())
+      << "a refused CreateTable registers nothing";
+
+  ASSERT_TRUE(
+      engine.CreateTable("t", MakeConditional(20.0, 60.0, 400, 2)).ok());
+  ASSERT_TRUE(engine.AttachModel("t", FastMdnSpec()).ok());
+  storage::Table batch = MakeConditional(20.0, 60.0, 100, 3);
+  (*batch.mutable_column(1)->mutable_numeric_values())[42] =
+      std::numeric_limits<double>::quiet_NaN();
+  auto refused = engine.Ingest("t", batch);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("'t'"), std::string::npos);
+  EXPECT_NE(refused.status().message().find("'y' row 42"), std::string::npos);
+  // Nothing was buffered: a flush has no rows to push through the loop.
+  auto flushed = engine.Flush("t");
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(flushed.value().rows_flushed, 0);
+  EXPECT_TRUE(flushed.value().reports.empty());
+  EXPECT_TRUE(std::isfinite(engine.model("t")->AverageLoss(batch.Head(40))));
 }
 
 TEST(EngineTest, MicroBatchingDecouplesIngestFromDetection) {
