@@ -19,8 +19,11 @@ namespace {
 
 // Version 2 added the per-table resolved detector kind to the manifest;
 // version 3 added the per-table update-worker priority; version 4 adds the
-// checkpoint codec name after the version word (Load still reads v3).
-constexpr uint32_t kManifestVersion = 4;
+// checkpoint codec name after the version word (Load still reads v3);
+// version 5 drops the per-table wall-clock detect/update totals, so two
+// identical runs write identical bytes (Load reads and discards them in v3/v4
+// images).
+constexpr uint32_t kManifestVersion = 5;
 constexpr uint32_t kMinManifestVersion = 3;
 constexpr const char* kManifestSection = "engine";
 
@@ -912,8 +915,6 @@ Engine::TableCheckpoint Engine::CheckpointTable(const TableState& state) {
     manifest.WriteI64(state.ood_updates);
     manifest.WriteI64(state.finetunes);
     manifest.WriteI64(state.kept_stale);
-    manifest.WriteDouble(state.detect_seconds);
-    manifest.WriteDouble(state.update_seconds);
     manifest.WriteTable(state.base);
     manifest.WriteTable(state.pending.Materialize());
     manifest.WriteBool(state.model != nullptr);
@@ -1032,8 +1033,10 @@ StatusOr<std::unique_ptr<Engine>> Engine::Load(const std::string& path,
     state->ood_updates = manifest.ReadI64();
     state->finetunes = manifest.ReadI64();
     state->kept_stale = manifest.ReadI64();
-    state->detect_seconds = manifest.ReadDouble();
-    state->update_seconds = manifest.ReadDouble();
+    if (version <= 4) {
+      manifest.ReadDouble();  // detect_seconds
+      manifest.ReadDouble();  // update_seconds
+    }
     state->base = manifest.ReadTable();
     storage::Table pending = manifest.ReadTable();
     bool has_model = manifest.ReadBool();

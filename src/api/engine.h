@@ -178,6 +178,8 @@ struct TableReport {
   int64_t ood_updates = 0;
   int64_t finetunes = 0;
   int64_t kept_stale = 0;
+  // Wall-clock detect / update totals since engine start or Load. They are
+  // not checkpointed (Save is deterministic; a loaded engine counts from 0).
   double detect_seconds = 0.0;
   double update_seconds = 0.0;
   // Detector state after the last offline refresh.

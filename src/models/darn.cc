@@ -148,17 +148,18 @@ nn::Variable Darn::ForwardLogits(
   using namespace nn;  // NOLINT: op-heavy function
   DDUP_CHECK(static_cast<int>(codes.size()) == num_columns_);
   // Layer 1 via embedding gathers: the one-hot input selects exactly one row
-  // of the masked weight per column, so h = sum_cols row(offset+code) + b.
-  Variable h;
+  // of the masked weight per column, so h = sum_cols row(offset+code) + b,
+  // summed in column order by one GatherSum node.
+  std::vector<std::vector<int>> idx(codes.size());
   for (int col = 0; col < num_columns_; ++col) {
-    std::vector<int> idx(codes[static_cast<size_t>(col)].size());
-    for (size_t r = 0; r < idx.size(); ++r) {
-      idx[r] = encoder_.offset(col) + codes[static_cast<size_t>(col)][r];
+    const std::vector<int>& col_codes = codes[static_cast<size_t>(col)];
+    std::vector<int>& col_idx = idx[static_cast<size_t>(col)];
+    col_idx.resize(col_codes.size());
+    for (size_t r = 0; r < col_idx.size(); ++r) {
+      col_idx[r] = encoder_.offset(col) + col_codes[r];
     }
-    Variable g = Rows(mp[0], idx);
-    h = (col == 0) ? g : Add(h, g);
   }
-  h = Relu(Add(h, mp[1]));
+  Variable h = Relu(Add(GatherSum(mp[0], idx), mp[1]));
   // Fused affine kernels over the masked weights.
   Variable h2 = AffineRelu(h, mp[2], mp[3]);
   return Affine(h2, mp[4], mp[5]);
@@ -222,11 +223,52 @@ void Darn::DistillUpdate(const storage::Table& transfer_set,
                          const storage::Table& new_data,
                          const core::DistillConfig& config) {
   using namespace nn;  // NOLINT
-  std::vector<Variable> teacher = AsConstants(params_);
+  // The teacher is frozen, so its masked weights are built once. (The
+  // student's stay per forward: sharing one mask node between its two
+  // forwards would change the order W1's gradient accumulates in.)
+  const std::vector<Variable> teacher = MaskWeights(AsConstants(params_));
   double alpha =
       core::ResolveAlpha(config, transfer_set.num_rows(), new_data.num_rows());
   auto tr_codes_all = encoder_.EncodeTable(transfer_set);
   auto up_codes_all = encoder_.EncodeTable(new_data);
+
+  // The teacher's logits for a transfer row are the same in every epoch, so
+  // they are computed once per row and gathered per step. A row's logits do
+  // depend on its GEMM position (bootstrap_scoring.h): the cache holds the
+  // 4-row panel value, and the last n % 4 rows of an n-row batch, which run
+  // in the kernels' row tail, are recomputed in a call of their own.
+  const int total = encoder_.total_cardinality();
+  const int64_t num_tr = transfer_set.num_rows();
+  Matrix panel_logits(static_cast<int>(num_tr), total);
+  constexpr int64_t kPanelBlockRows = 256;
+  for (int64_t lo = 0; lo < num_tr; lo += kPanelBlockRows) {
+    const int64_t count = std::min(kPanelBlockRows, num_tr - lo);
+    std::vector<int64_t> rows(static_cast<size_t>(count));
+    std::iota(rows.begin(), rows.end(), lo);
+    rows.resize(static_cast<size_t>((count + 3) & ~3), rows.back());
+    Variable logits = ForwardLogits(teacher, GatherCodes(tr_codes_all, rows));
+    std::copy(logits.value().data(), logits.value().data() + count * total,
+              panel_logits.data() + lo * total);
+  }
+  auto teacher_logits = [&](const std::vector<int64_t>& rows) {
+    const int n = static_cast<int>(rows.size());
+    const int n4 = n & ~3;
+    Matrix out = MatrixPool::Local().Acquire(n, total);
+    for (int i = 0; i < n4; ++i) {
+      const auto row = static_cast<size_t>(rows[static_cast<size_t>(i)]);
+      const double* src = panel_logits.data() + row * total;
+      std::copy(src, src + total, out.data() + static_cast<size_t>(i) * total);
+    }
+    if (n4 < n) {
+      const std::vector<int64_t> tail(rows.begin() + n4, rows.end());
+      Variable logits =
+          ForwardLogits(teacher, GatherCodes(tr_codes_all, tail));
+      std::copy(logits.value().data(),
+                logits.value().data() + (n - n4) * total,
+                out.data() + static_cast<size_t>(n4) * total);
+    }
+    return Constant(std::move(out));
+  };
 
   Adam opt(params_, config.learning_rate);
   for (int e = 0; e < config.epochs; ++e) {
@@ -235,11 +277,12 @@ void Darn::DistillUpdate(const storage::Table& transfer_set,
     auto up_batches = MiniBatches(new_data.num_rows(), config.batch_size, rng_);
     size_t steps = std::max(tr_batches.size(), up_batches.size());
     for (size_t s = 0; s < steps; ++s) {
-      auto tr = GatherCodes(tr_codes_all, tr_batches[s % tr_batches.size()]);
+      const std::vector<int64_t>& tr_rows = tr_batches[s % tr_batches.size()];
+      auto tr = GatherCodes(tr_codes_all, tr_rows);
       auto up = GatherCodes(up_codes_all, up_batches[s % up_batches.size()]);
 
       Variable s_logits = ForwardLogits(MaskWeights(params_), tr);
-      Variable t_logits = ForwardLogits(MaskWeights(teacher), tr);
+      Variable t_logits = teacher_logits(tr_rows);
       // Eq. 10: annealed CE between teacher and student conditionals,
       // averaged over attributes.
       Variable distill;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/status.h"
 #include "io/checkpoint.h"
@@ -66,22 +67,32 @@ int Gbdt::BuildTree(Tree* tree, const std::vector<std::vector<double>>& features
   int best_feature = -1;
   double best_threshold = 0.0;
   size_t num_features = feature_columns_.size();
-  std::vector<int> sorted = rows;
+  // Each feature sorts (value, row) pairs by value alone, starting from the
+  // order the previous feature's sort left. introsort's element moves depend
+  // only on its comparison outcomes, which are those of the old index sort
+  // through features[row][f] — so the permutation, and with it the
+  // summation order of g_left/h_left at tied values, is unchanged, while
+  // each comparison reads one key instead of two rows.
+  using Keyed = std::pair<double, int>;  // (feature value, row)
+  std::vector<Keyed> keyed(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) keyed[i].second = rows[i];
   for (size_t f = 0; f < num_features; ++f) {
-    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
-      return features[static_cast<size_t>(a)][f] <
-             features[static_cast<size_t>(b)][f];
+    for (Keyed& kv : keyed) {
+      kv.first = features[static_cast<size_t>(kv.second)][f];
+    }
+    std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+      return a.first < b.first;
     });
     double g_left = 0.0, h_left = 0.0;
-    for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-      int r = sorted[i];
+    for (size_t i = 0; i + 1 < keyed.size(); ++i) {
+      int r = keyed[i].second;
       g_left += grad[static_cast<size_t>(r)];
       h_left += hess[static_cast<size_t>(r)];
-      double v = features[static_cast<size_t>(r)][f];
-      double v_next = features[static_cast<size_t>(sorted[i + 1])][f];
+      double v = keyed[i].first;
+      double v_next = keyed[i + 1].first;
       if (v == v_next) continue;  // can only split between distinct values
       int n_left = static_cast<int>(i) + 1;
-      int n_right = static_cast<int>(sorted.size()) - n_left;
+      int n_right = static_cast<int>(keyed.size()) - n_left;
       if (n_left < config_.min_leaf_size || n_right < config_.min_leaf_size) {
         continue;
       }

@@ -65,6 +65,40 @@ nn::Variable MixtureNllFromOutputs(const MdnOutputs& out,
   return nn::Neg(nn::Mean(MixtureLogLik(out, y_norm)));
 }
 
+// The network reads only the category, so its three heads can be tabled
+// per category and GEMM position: rows [0, k) from one panel call over every
+// category (padded to a multiple of 4 rows), rows [k, 2k) from a single-row
+// (row-tail) call per category. Returned as constants, omega/mu/sigma.
+std::vector<nn::Variable> HeadTables(const std::vector<nn::Variable>& p,
+                                     int k, int mix) {
+  std::vector<nn::Matrix> tables(3, nn::Matrix(2 * k, mix));
+  auto copy_heads = [&](const MdnOutputs& o, int rows, int first_row) {
+    const nn::Matrix* heads[] = {&o.omega_logits.value(), &o.mu.value(),
+                                 &o.sigma.value()};
+    for (size_t t = 0; t < tables.size(); ++t) {
+      std::copy(heads[t]->data(), heads[t]->data() + rows * mix,
+                tables[t].data() + static_cast<size_t>(first_row) * mix);
+    }
+  };
+  std::vector<int> panel_codes(static_cast<size_t>((k + 3) & ~3), 0);
+  std::iota(panel_codes.begin(), panel_codes.begin() + k, 0);
+  copy_heads(ForwardNet(p, panel_codes), k, 0);
+  for (int c = 0; c < k; ++c) copy_heads(ForwardNet(p, {c}), 1, k + c);
+  std::vector<nn::Variable> vars;
+  for (nn::Matrix& t : tables) vars.push_back(nn::Constant(std::move(t)));
+  return vars;
+}
+
+// The HeadTables rows `idx`: a category, plus k for its row-tail value.
+MdnOutputs GatherHeads(const std::vector<nn::Variable>& tables,
+                       const std::vector<int>& idx) {
+  MdnOutputs out;
+  out.omega_logits = nn::Rows(tables[0], idx);
+  out.mu = nn::Rows(tables[1], idx);
+  out.sigma = nn::Rows(tables[2], idx);
+  return out;
+}
+
 }  // namespace
 
 Mdn::Mdn(const storage::Table& base_data, const std::string& categorical_column,
@@ -158,8 +192,12 @@ void Mdn::DistillUpdate(const storage::Table& transfer_set,
                         const core::DistillConfig& config) {
   using namespace nn;  // NOLINT
   // Sequential self-distillation: the frozen copy of the current parameters
-  // is the teacher; this model continues training as the student.
-  std::vector<Variable> teacher = AsConstants(params_);
+  // is the teacher; this model continues training as the student. The
+  // teacher's heads depend only on a row's category and GEMM position, so
+  // they are tabled once and gathered per step: the last n % 4 rows of an
+  // n-row batch run in the kernels' row tail, the others in a 4-row panel.
+  const std::vector<Variable> teacher = HeadTables(
+      AsConstants(params_), cardinality_, config_.num_components);
   double alpha =
       core::ResolveAlpha(config, transfer_set.num_rows(), new_data.num_rows());
 
@@ -174,7 +212,11 @@ void Mdn::DistillUpdate(const storage::Table& transfer_set,
       Batch up = MakeBatch(new_data, up_batches[s % up_batches.size()]);
 
       MdnOutputs s_out = ForwardNet(params_, tr.codes);
-      MdnOutputs t_out = ForwardNet(teacher, tr.codes);
+      std::vector<int> t_idx(tr.codes);
+      for (size_t i = t_idx.size() & ~size_t{3}; i < t_idx.size(); ++i) {
+        t_idx[i] += cardinality_;
+      }
+      MdnOutputs t_out = GatherHeads(teacher, t_idx);
       // Eq. 9: annealed CE on mixture weights + MSE on means and sigmas.
       Variable distill = Add(
           DistillCrossEntropy(s_out.omega_logits, t_out.omega_logits,
@@ -226,27 +268,10 @@ void Mdn::BootstrapLosses(const storage::Table& data,
   const storage::Column& num = data.column(num_index_);
   std::vector<Variable> frozen = AsConstants(params_);
 
-  // The network reads only the category, so it runs once per category and
-  // GEMM position. Output tables: rows [0, K) from one padded panel call
-  // over every category, rows [K, 2K) from a single-row (row-tail) call per
-  // category.
+  // The network runs once per category and GEMM position (HeadTables).
   const int k = cardinality_;
-  const int mix = config_.num_components;
-  std::vector<Matrix> tables(3, Matrix(2 * k, mix));
-  auto copy_heads = [&](const MdnOutputs& o, int rows, int first_row) {
-    const Matrix* heads[] = {&o.omega_logits.value(), &o.mu.value(),
-                             &o.sigma.value()};
-    for (size_t t = 0; t < tables.size(); ++t) {
-      std::copy(heads[t]->data(), heads[t]->data() + rows * mix,
-                tables[t].data() + static_cast<size_t>(first_row) * mix);
-    }
-  };
-  std::vector<int> panel_codes(static_cast<size_t>((k + 3) & ~3), 0);
-  std::iota(panel_codes.begin(), panel_codes.begin() + k, 0);
-  copy_heads(ForwardNet(frozen, panel_codes), k, 0);
-  for (int c = 0; c < k; ++c) copy_heads(ForwardNet(frozen, {c}), 1, k + c);
-  std::vector<Variable> table_vars;
-  for (Matrix& t : tables) table_vars.push_back(Constant(std::move(t)));
+  const std::vector<Variable> table_vars =
+      HeadTables(frozen, k, config_.num_components);
 
   // The mixture likelihood is row-wise elementwise work: gather each
   // entry's outputs and score all entries in plain blocks.
@@ -262,11 +287,7 @@ void Mdn::BootstrapLosses(const storage::Table& data,
       y.At(static_cast<int>(e - lo), 0) =
           normalizer_.Encode(num.NumericAt(row));
     }
-    MdnOutputs gathered;
-    gathered.omega_logits = Rows(table_vars[0], idx);
-    gathered.mu = Rows(table_vars[1], idx);
-    gathered.sigma = Rows(table_vars[2], idx);
-    Variable ll = MixtureLogLik(gathered, y);
+    Variable ll = MixtureLogLik(GatherHeads(table_vars, idx), y);
     std::copy(ll.value().data(), ll.value().data() + (hi - lo),
               loglik.begin() + lo);
   });

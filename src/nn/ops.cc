@@ -1,10 +1,12 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
 
 #include "common/status.h"
+#include "nn/elementwise.h"
 #include "nn/kernels.h"
 #include "nn/pool.h"
 
@@ -32,46 +34,6 @@ Variable MakeNode(Matrix value, std::vector<std::shared_ptr<Node>> parents,
     node->backward = make_backward();
   }
   return Variable::Wrap(std::move(node));
-}
-
-// Broadcast helper shared by Add/Sub/Mul: b must match a, be a 1xC row, or a
-// 1x1 scalar.
-enum class BroadcastKind { kSame, kRow, kScalar };
-
-BroadcastKind CheckBroadcast(const Matrix& a, const Matrix& b) {
-  if (a.rows() == b.rows() && a.cols() == b.cols()) return BroadcastKind::kSame;
-  if (b.rows() == 1 && b.cols() == a.cols()) return BroadcastKind::kRow;
-  if (b.rows() == 1 && b.cols() == 1) return BroadcastKind::kScalar;
-  DDUP_CHECK_MSG(false, "incompatible broadcast shapes " + a.ShapeString() +
-                            " vs " + b.ShapeString());
-  return BroadcastKind::kSame;
-}
-
-double BroadcastGet(const Matrix& b, BroadcastKind kind, int r, int c) {
-  switch (kind) {
-    case BroadcastKind::kSame:
-      return b.At(r, c);
-    case BroadcastKind::kRow:
-      return b.At(0, c);
-    case BroadcastKind::kScalar:
-      return b.At(0, 0);
-  }
-  return 0.0;
-}
-
-void BroadcastAccumulate(Matrix* grad_b, BroadcastKind kind, int r, int c,
-                         double g) {
-  switch (kind) {
-    case BroadcastKind::kSame:
-      grad_b->At(r, c) += g;
-      break;
-    case BroadcastKind::kRow:
-      grad_b->At(0, c) += g;
-      break;
-    case BroadcastKind::kScalar:
-      grad_b->At(0, 0) += g;
-      break;
-  }
 }
 
 // Elementwise unary op: value[i] = f(a[i]); da[i] += grad[i] * dfda(a[i], out[i]).
@@ -181,39 +143,20 @@ Variable AffineRelu(const Variable& x, const Variable& w, const Variable& b) {
 
 namespace {
 
-Variable BinaryBroadcastOp(const Variable& a, const Variable& b, bool is_mul,
-                           double b_sign) {
-  // is_mul=false implements a + b_sign * b; is_mul=true implements a .* b.
+Variable BinaryBroadcastOp(const Variable& a, const Variable& b, BinaryOp op) {
   const Matrix& av = a.value();
   const Matrix& bv = b.value();
-  BroadcastKind kind = CheckBroadcast(av, bv);
+  const BroadcastKind kind = CheckBroadcast(av, bv);
   Matrix out = MatrixPool::Local().Acquire(av.rows(), av.cols());
-  for (int r = 0; r < av.rows(); ++r) {
-    for (int c = 0; c < av.cols(); ++c) {
-      double x = av.At(r, c);
-      double y = BroadcastGet(bv, kind, r, c);
-      out.At(r, c) = is_mul ? x * y : x + b_sign * y;
-    }
-  }
+  BinaryForward(op, kind, av, bv, &out);
   auto pa = a.node(), pb = b.node();
-  return MakeNode(std::move(out), {pa, pb}, [pa, pb, kind, is_mul, b_sign]() {
-    return [pa, pb, kind, is_mul, b_sign](Node& n) {
-      const Matrix& av = pa->value;
-      const Matrix& bv = pb->value;
+  return MakeNode(std::move(out), {pa, pb}, [pa, pb, op, kind]() {
+    return [pa, pb, op, kind](Node& n) {
       if (pa->requires_grad) pa->EnsureGrad();
       if (pb->requires_grad) pb->EnsureGrad();
-      for (int r = 0; r < av.rows(); ++r) {
-        for (int c = 0; c < av.cols(); ++c) {
-          double g = n.grad.At(r, c);
-          if (pa->requires_grad) {
-            pa->grad.At(r, c) += is_mul ? g * BroadcastGet(bv, kind, r, c) : g;
-          }
-          if (pb->requires_grad) {
-            double gb = is_mul ? g * av.At(r, c) : g * b_sign;
-            BroadcastAccumulate(&pb->grad, kind, r, c, gb);
-          }
-        }
-      }
+      BinaryBackward(op, kind, n.grad, pa->value, pb->value,
+                     pa->requires_grad ? &pa->grad : nullptr,
+                     pb->requires_grad ? &pb->grad : nullptr);
     };
   });
 }
@@ -221,15 +164,15 @@ Variable BinaryBroadcastOp(const Variable& a, const Variable& b, bool is_mul,
 }  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
-  return BinaryBroadcastOp(a, b, /*is_mul=*/false, /*b_sign=*/1.0);
+  return BinaryBroadcastOp(a, b, BinaryOp::kAdd);
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
-  return BinaryBroadcastOp(a, b, /*is_mul=*/false, /*b_sign=*/-1.0);
+  return BinaryBroadcastOp(a, b, BinaryOp::kSub);
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
-  return BinaryBroadcastOp(a, b, /*is_mul=*/true, /*b_sign=*/1.0);
+  return BinaryBroadcastOp(a, b, BinaryOp::kMul);
 }
 
 Variable Neg(const Variable& a) { return Scale(a, -1.0); }
@@ -538,6 +481,46 @@ Variable Rows(const Variable& table, const std::vector<int>& idx) {
       for (size_t i = 0; i < idx.size(); ++i) {
         for (int c = 0; c < n.grad.cols(); ++c) {
           pt->grad.At(idx[i], c) += n.grad.At(static_cast<int>(i), c);
+        }
+      }
+    };
+  });
+}
+
+Variable GatherSum(const Variable& table,
+                   const std::vector<std::vector<int>>& idx) {
+  DDUP_CHECK(!idx.empty());
+  const Matrix& tv = table.value();
+  const int n = static_cast<int>(idx[0].size());
+  const int d = tv.cols();
+  for (const auto& list : idx) {
+    DDUP_CHECK(static_cast<int>(list.size()) == n);
+    for (int i : list) DDUP_CHECK(i >= 0 && i < tv.rows());
+  }
+  Matrix out = MatrixPool::Local().Acquire(n, d);
+  for (int r = 0; r < n; ++r) {
+    double* __restrict o = out.data() + static_cast<size_t>(r) * d;
+    const double* src = tv.data() + static_cast<size_t>(idx[0][r]) * d;
+    std::copy(src, src + d, o);
+    for (size_t k = 1; k < idx.size(); ++k) {
+      const double* __restrict t =
+          tv.data() + static_cast<size_t>(idx[k][static_cast<size_t>(r)]) * d;
+      for (int c = 0; c < d; ++c) o[c] += t[c];
+    }
+  }
+  auto pt = table.node();
+  return MakeNode(std::move(out), {pt}, [pt, idx]() {
+    return [pt, idx](Node& n) {
+      pt->EnsureGrad();
+      const int d = n.grad.cols();
+      // The Rows + Add chain backpropagates its last gather first.
+      for (size_t k = idx.size(); k-- > 0;) {
+        const std::vector<int>& list = idx[k];
+        for (size_t r = 0; r < list.size(); ++r) {
+          const double* __restrict g = n.grad.data() + r * d;
+          double* __restrict t =
+              pt->grad.data() + static_cast<size_t>(list[r]) * d;
+          for (int c = 0; c < d; ++c) t[c] += g[c];
         }
       }
     };

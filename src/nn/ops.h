@@ -68,6 +68,15 @@ Variable SliceCols(const Variable& a, int begin, int len);
 // Gradients scatter-add into the selected rows.
 Variable Rows(const Variable& table, const std::vector<int>& idx);
 
+// Sum of k embedding gathers: out[r] = table[idx[0][r]] + table[idx[1][r]]
+// + ..., added in list order (each idx[k] has one entry per output row).
+// Bit-identical, forward and backward, to the chain
+// Add(...Add(Rows(table, idx[0]), Rows(table, idx[1]))..., Rows(table,
+// idx[k-1])) it replaces, in one node: the backward scatters the lists from
+// last to first, each in ascending row order, as that chain's nodes do.
+Variable GatherSum(const Variable& table,
+                   const std::vector<std::vector<int>>& idx);
+
 // One entry per row: out[r,0] = a[r, idx[r]] -> Nx1.
 Variable PickCols(const Variable& a, const std::vector<int>& idx);
 

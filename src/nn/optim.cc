@@ -56,20 +56,25 @@ void Adam::Step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
   for (size_t i = 0; i < params_.size(); ++i) {
     Variable& p = params_[i];
     if (p.grad().empty()) continue;
-    Matrix& value = p.mutable_value();
-    const Matrix& g = p.grad();
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (int64_t j = 0; j < value.size(); ++j) {
-      double gj = g.data()[j];
-      m.data()[j] = beta1_ * m.data()[j] + (1.0 - beta1_) * gj;
-      v.data()[j] = beta2_ * v.data()[j] + (1.0 - beta2_) * gj * gj;
-      double mhat = m.data()[j] / bc1;
-      double vhat = v.data()[j] / bc2;
-      value.data()[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    // Local restrict pointers (and -fno-math-errno on this file, see
+    // src/CMakeLists.txt) let the loop vectorise; each element's arithmetic
+    // is the same expression sequence as the textbook scalar loop.
+    const int64_t n = p.value().size();
+    double* __restrict value = p.mutable_value().data();
+    const double* __restrict g = p.grad().data();
+    double* __restrict m = m_[i].data();
+    double* __restrict v = v_[i].data();
+    for (int64_t j = 0; j < n; ++j) {
+      const double gj = g[j];
+      m[j] = beta1 * m[j] + (1.0 - beta1) * gj;
+      v[j] = beta2 * v[j] + (1.0 - beta2) * gj * gj;
+      const double mhat = m[j] / bc1;
+      const double vhat = v[j] / bc2;
+      value[j] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

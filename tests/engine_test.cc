@@ -702,6 +702,97 @@ TEST(EngineTest, CheckpointCodecKnob) {
   std::remove(resaved_path.c_str());
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return "";
+  std::string bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(EngineTest, SaveIsDeterministicAcrossIdenticalRuns) {
+  // Two engines fed the same seeded stream write the same bytes: nothing
+  // run-dependent (wall-clock stage totals) is checkpointed.
+  auto run = [](const std::string& path, int update_workers) {
+    EngineConfig config = FastEngineConfig(120);
+    config.update_workers = update_workers;
+    Engine engine(config);
+    ASSERT_TRUE(
+        engine.CreateTable("aqp", MakeConditional(25, 75, 400, 21)).ok());
+    ASSERT_TRUE(
+        engine.CreateTable("card", MakeConditional(30, 60, 400, 22)).ok());
+    ASSERT_TRUE(engine.AttachModel("aqp", FastMdnSpec()).ok());
+    ASSERT_TRUE(engine.AttachModel("card", FastDarnSpec()).ok());
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          engine.Ingest("aqp", MakeConditional(75, 25, 120, 30 + i)).ok());
+      ASSERT_TRUE(
+          engine.Ingest("card", MakeConditional(30, 60, 120, 40 + i)).ok());
+    }
+    ASSERT_TRUE(engine.Ingest("aqp", MakeConditional(25, 75, 40, 50)).ok());
+    ASSERT_TRUE(engine.Save(path).ok());
+  };
+  for (int workers : {0, 1}) {
+    const std::string first = TempPath("engine_det_a.ckpt");
+    const std::string second = TempPath("engine_det_b.ckpt");
+    run(first, workers);
+    run(second, workers);
+    const std::string a = ReadFileBytes(first);
+    const std::string b = ReadFileBytes(second);
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "update_workers=" << workers << ": " << a.size()
+                        << " vs " << b.size() << " bytes";
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+  }
+}
+
+TEST(EngineTest, LoadsV4ManifestAndDropsItsStageSeconds) {
+  // A version-4 manifest still carries the per-table detect/update wall
+  // totals after the action counters; Load reads and discards them.
+  storage::Table base = MakeConditional(25, 75, 50, 61);
+  io::Serializer manifest;
+  manifest.WriteU32(4);  // engine manifest version
+  manifest.WriteString("raw");
+  manifest.WriteU32(1);  // one table, no model attached
+  manifest.WriteString("t");
+  manifest.WriteString("mdn");
+  manifest.WriteU32(0);       // no model options
+  manifest.WriteI64(100);     // micro_batch_rows
+  manifest.WriteString("");   // detector kind
+  manifest.WriteI64(0);       // update priority
+  manifest.WriteI64(7);       // insertions
+  manifest.WriteI64(3);       // ood_updates
+  manifest.WriteI64(2);       // finetunes
+  manifest.WriteI64(1);       // kept_stale
+  manifest.WriteDouble(1.5);  // detect_seconds (v4 only)
+  manifest.WriteDouble(2.5);  // update_seconds (v4 only)
+  manifest.WriteTable(base);
+  manifest.WriteTable(base.TakeRows({0, 1, 2}));  // pending rows
+  manifest.WriteBool(false);
+  io::CheckpointWriter writer(io::FindCodecByName("raw"));
+  writer.AddSection("engine", manifest.Take());
+  const std::string path = TempPath("legacy_v4.ckpt");
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+
+  auto loaded = Engine::Load(path, FastEngineConfig(100));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto report = loaded.value()->Report("t");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().rows, 50);
+  EXPECT_EQ(report.value().buffered_rows, 3);
+  EXPECT_EQ(report.value().insertions, 7);
+  EXPECT_EQ(report.value().ood_updates, 3);
+  EXPECT_EQ(report.value().finetunes, 2);
+  EXPECT_EQ(report.value().kept_stale, 1);
+  EXPECT_EQ(report.value().detect_seconds, 0.0);
+  EXPECT_EQ(report.value().update_seconds, 0.0);
+  std::remove(path.c_str());
+}
+
 TEST(EngineTest, LoadsV1ContainerWithV3Manifest) {
   // Compatibility pin: a pre-codec checkpoint — format-version-1 container
   // holding a version-3 engine manifest (no codec string) — must still

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -421,6 +422,211 @@ TEST(MatrixPoolTest, TrainingStepsStopAllocatingOnceWarm) {
   MatrixPool::Counters after = MatrixPool::Local().counters();
   EXPECT_GT(after.acquires, before.acquires);
   EXPECT_EQ(after.heap_allocs, before.heap_allocs);  // all reuse, no malloc
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests of the typed elementwise kernels (nn/elementwise.h),
+// GatherSum and Adam against naive references. Comparisons are memcmp: the
+// kernels promise the reference's bits, not values within a tolerance.
+
+// A product rounded to a double before it is used, so that the compiler
+// cannot contract it into a following add.
+double Rounded(double x) {
+  volatile double v = x;
+  return v;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+enum class ElemOp { kAdd, kSub, kMul };
+enum class GradOn { kA, kB, kBoth, kSameNode };
+
+Variable ApplyOp(ElemOp op, const Variable& a, const Variable& b) {
+  switch (op) {
+    case ElemOp::kAdd:
+      return Add(a, b);
+    case ElemOp::kSub:
+      return Sub(a, b);
+    case ElemOp::kMul:
+      return Mul(a, b);
+  }
+  return Variable();
+}
+
+// The naive per-element loop the typed kernels replace: forward value and,
+// for upstream gradient g, the a/b gradient terms accumulated element by
+// element (a-term first) into ga/gb, which may alias.
+void NaiveBinary(ElemOp op, const Matrix& a, const Matrix& b, const Matrix& g,
+                 Matrix* out, Matrix* ga, Matrix* gb) {
+  auto bget = [&](int r, int c) {
+    if (b.rows() == a.rows() && b.cols() == a.cols()) return b.At(r, c);
+    return b.rows() == 1 && b.cols() == a.cols() ? b.At(0, c) : b.At(0, 0);
+  };
+  auto bslot = [&](Matrix* m, int r, int c) -> double& {
+    if (b.rows() == a.rows() && b.cols() == a.cols()) return m->At(r, c);
+    return b.rows() == 1 && b.cols() == a.cols() ? m->At(0, c) : m->At(0, 0);
+  };
+  *out = Matrix(a.rows(), a.cols());
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int c = 0; c < a.cols(); ++c) {
+      const double x = a.At(r, c), y = bget(r, c);
+      out->At(r, c) = op == ElemOp::kAdd   ? x + y
+                      : op == ElemOp::kSub ? x - y
+                                           : Rounded(x * y);
+      const double gv = g.At(r, c);
+      if (ga != nullptr) {
+        ga->At(r, c) += op == ElemOp::kMul ? Rounded(gv * y) : gv;
+      }
+      if (gb != nullptr) {
+        const double term = op == ElemOp::kAdd   ? gv
+                            : op == ElemOp::kSub ? -gv
+                                                 : Rounded(gv * x);
+        bslot(gb, r, c) += term;
+      }
+    }
+  }
+}
+
+// Seeds a node's gradient buffer with `init` (the accumulate-into-existing
+// case every multi-consumer node hits).
+void SeedGrad(const Variable& v, const Matrix& init) {
+  v.node()->EnsureGrad();
+  std::copy(init.data(), init.data() + init.size(), v.node()->grad.data());
+}
+
+TEST(ElementwiseKernelTest, MatchesNaiveLoopBitForBit) {
+  Rng rng(1234);
+  const int rows = 7, cols = 11;  // odd widths exercise the vector tails
+  const std::pair<int, int> b_shapes[] = {{rows, cols}, {1, cols}, {1, 1}};
+  for (ElemOp op : {ElemOp::kAdd, ElemOp::kSub, ElemOp::kMul}) {
+    for (auto [br, bc] : b_shapes) {
+      for (GradOn on : {GradOn::kA, GradOn::kB, GradOn::kBoth,
+                        GradOn::kSameNode}) {
+        if (on == GradOn::kSameNode && br != rows) continue;
+        SCOPED_TRACE(testing::Message()
+                     << "op " << static_cast<int>(op) << " b " << br << "x"
+                     << bc << " grad-on " << static_cast<int>(on));
+        const Matrix av = Matrix::Randn(rng, rows, cols);
+        const Matrix bv = Matrix::Randn(rng, br, bc);
+        const Matrix g = Matrix::Randn(rng, rows, cols);
+        const Matrix ga0 = Matrix::Randn(rng, rows, cols);
+        const Matrix gb0 = Matrix::Randn(rng, br, bc);
+        const bool need_a = on != GradOn::kB;
+        const bool need_b = on == GradOn::kB || on == GradOn::kBoth;
+        Variable a(av, need_a);
+        Variable b = on == GradOn::kSameNode ? a : Variable(bv, need_b);
+        if (need_a) SeedGrad(a, ga0);
+        if (need_b) SeedGrad(b, gb0);
+        Variable out = ApplyOp(op, a, b);
+        ASSERT_TRUE(out.node()->backward);
+        SeedGrad(out, g);
+        out.node()->backward(*out.node());
+
+        Matrix ref_out, ref_ga = ga0, ref_gb = gb0;
+        NaiveBinary(op, av, on == GradOn::kSameNode ? av : bv, g, &ref_out,
+                    need_a ? &ref_ga : nullptr,
+                    on == GradOn::kSameNode ? &ref_ga
+                                            : (need_b ? &ref_gb : nullptr));
+        EXPECT_TRUE(SameBits(out.value(), ref_out));
+        if (need_a) {
+          EXPECT_TRUE(SameBits(a.grad(), ref_ga));
+        }
+        if (need_b) {
+          EXPECT_TRUE(SameBits(b.grad(), ref_gb));
+        }
+      }
+    }
+  }
+}
+
+TEST(ElementwiseKernelTest, NodeConsumedTwiceAccumulatesRoundedProducts) {
+  // t = a * b feeds two Mul consumers (TVAE's pattern): t's gradient is
+  // G*d, then + G*c, each product rounded before it is added.
+  Rng rng(99);
+  const Matrix av = Matrix::Randn(rng, 5, 9), bv = Matrix::Randn(rng, 1, 9);
+  const Matrix cv = Matrix::Randn(rng, 5, 9), dv = Matrix::Randn(rng, 1, 1);
+  const Matrix g = Matrix::Randn(rng, 5, 9);
+  Variable a = Parameter(av);
+  Variable t = Mul(a, Constant(bv));
+  Variable u = Add(Mul(t, Constant(cv)), Mul(t, Constant(dv)));
+  Backward(Sum(Mul(u, Constant(g))));
+
+  Matrix ref(5, 9);
+  for (int r = 0; r < 5; ++r) {
+    for (int c = 0; c < 9; ++c) {
+      // Later-created consumer first: Mul(t, d) runs its backward before
+      // Mul(t, c).
+      double tg = 0.0 + Rounded(g.At(r, c) * dv.At(0, 0));
+      tg += Rounded(g.At(r, c) * cv.At(r, c));
+      ref.At(r, c) = 0.0 + Rounded(tg * bv.At(0, c));
+    }
+  }
+  EXPECT_TRUE(SameBits(a.grad(), ref));
+}
+
+TEST(GatherSumTest, MatchesRowsAddChainWithRepeatedIndices) {
+  Rng rng(5);
+  const Matrix tv = Matrix::Randn(rng, 6, 13);
+  const std::vector<std::vector<int>> idx = {
+      {0, 3, 3, 5, 1, 0, 2, 3, 4},
+      {3, 3, 1, 1, 0, 5, 5, 2, 3},
+      {2, 0, 3, 4, 4, 4, 1, 0, 3}};
+  const Matrix g = Matrix::Randn(rng, 9, 13);
+
+  Variable fused_table = Parameter(tv);
+  Variable fused = GatherSum(fused_table, idx);
+  Backward(Sum(Mul(fused, Constant(g))));
+
+  Variable chain_table = Parameter(tv);
+  Variable chain;
+  for (size_t k = 0; k < idx.size(); ++k) {
+    Variable rows = Rows(chain_table, idx[k]);
+    chain = k == 0 ? rows : Add(chain, rows);
+  }
+  Backward(Sum(Mul(chain, Constant(g))));
+
+  EXPECT_TRUE(SameBits(fused.value(), chain.value()));
+  EXPECT_TRUE(SameBits(fused_table.grad(), chain_table.grad()));
+}
+
+TEST(AdamTest, StepMatchesScalarReferenceLoop) {
+  Rng rng(77);
+  const double lr = 3e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  std::vector<Variable> params = {Parameter(Matrix::Randn(rng, 9, 13)),
+                                  Parameter(Matrix::Randn(rng, 1, 13)),
+                                  Parameter(Matrix::Randn(rng, 3, 3))};
+  std::vector<Matrix> value, m, v;
+  for (const auto& p : params) {
+    value.push_back(p.value());
+    m.push_back(Matrix::Zeros(p.rows(), p.cols()));
+    v.push_back(Matrix::Zeros(p.rows(), p.cols()));
+  }
+  Adam opt(params, lr, beta1, beta2, eps);
+  for (int t = 1; t <= 10; ++t) {
+    for (size_t i = 0; i < params.size(); ++i) {
+      SeedGrad(params[i], Matrix::Randn(rng, params[i].rows(),
+                                        params[i].cols(), 0.1 * t));
+    }
+    opt.Step();
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (size_t i = 0; i < params.size(); ++i) {
+      const Matrix& g = params[i].grad();
+      for (int64_t j = 0; j < g.size(); ++j) {
+        double gj = g.data()[j];
+        m[i].data()[j] = beta1 * m[i].data()[j] + (1.0 - beta1) * gj;
+        v[i].data()[j] = beta2 * v[i].data()[j] + (1.0 - beta2) * gj * gj;
+        double mhat = m[i].data()[j] / bc1;
+        double vhat = v[i].data()[j] / bc2;
+        value[i].data()[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      EXPECT_TRUE(SameBits(params[i].value(), value[i])) << "step " << t;
+    }
+  }
 }
 
 TEST(OpsTest, SoftmaxRowsSumToOne) {
